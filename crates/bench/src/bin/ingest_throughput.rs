@@ -14,7 +14,7 @@
 //!
 //! 1. **direct writes** — `VersionWriter::insert` in-process, no
 //!    sockets: the ceiling for the wire write path.
-//! 2. **static reads** — a loopback [`Server`] over the mutable engine
+//! 2. **static reads** — a loopback [`EventServer`] over the mutable engine
 //!    with no writer running: the read-latency baseline.
 //! 3. **concurrent** — the same read workload while a writer connection
 //!    streams inserts (a delete every 16th write) through the same
@@ -30,13 +30,15 @@
 //! Wall-clock timing only (`std::time::Instant`), no external bench
 //! framework, so the workspace builds offline.
 
+#![cfg_attr(not(unix), allow(dead_code, unused_imports))]
+
 use std::fmt::Write as _;
 use std::thread;
 use std::time::Instant;
 
 use knmatch_core::{BatchEngine, BatchQuery};
 use knmatch_data::rng::seeded;
-use knmatch_server::{Client, EngineConfig, Server, ServerConfig};
+use knmatch_server::{Client, EngineConfig, EventServer, ServerConfig};
 
 struct Config {
     cardinality: usize,
@@ -116,6 +118,7 @@ fn read_rounds(
     (per_batch, rounds * batch.len(), secs)
 }
 
+#[cfg(unix)]
 fn main() {
     let cfg = Config::parse();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -184,7 +187,7 @@ fn main() {
         .build()
         .expect("valid config")
         .build_in_memory(&ds);
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let server = EventServer::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
 
@@ -302,4 +305,9 @@ fn main() {
     std::fs::write(&cfg.out, &json).expect("write output file");
     print!("{json}");
     eprintln!("wrote {}", cfg.out);
+}
+
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("ingest_throughput needs the event-loop server (unix only)");
 }

@@ -13,7 +13,7 @@
 //!
 //! 1. **direct** — `BatchEngine::run` in-process, no sockets. This is
 //!    the ceiling the wire path is measured against.
-//! 2. **served** — a loopback [`Server`] with `--clients` concurrent
+//! 2. **served** — a loopback [`EventServer`] with `--clients` concurrent
 //!    [`Client`]s, each submitting the whole workload as `BATCH` frames.
 //!    Every served answer is asserted bit-identical to the direct run
 //!    (the text protocol round-trips `f64` exactly) before any number
@@ -26,13 +26,15 @@
 //! Wall-clock timing only (`std::time::Instant`), no external bench
 //! framework, so the workspace builds offline.
 
+#![cfg_attr(not(unix), allow(dead_code, unused_imports))]
+
 use std::fmt::Write as _;
 use std::thread;
 use std::time::Instant;
 
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOutcome, BatchQuery};
 use knmatch_data::rng::seeded;
-use knmatch_server::{Backend, Client, EngineConfig, Server, ServerConfig};
+use knmatch_server::{Backend, Client, EngineConfig, EventServer, ServerConfig};
 
 struct Config {
     cardinality: usize,
@@ -110,6 +112,7 @@ struct Row {
     bytes_out: u64,
 }
 
+#[cfg(unix)]
 fn main() {
     let cfg = Config::parse();
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -165,7 +168,8 @@ fn main() {
 
         // Served: one loopback server, `clients` concurrent connections,
         // each pushing the full workload `passes` times.
-        let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let server =
+            EventServer::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
         let mut served_wall = 0.0;
@@ -297,4 +301,9 @@ fn main() {
     std::fs::write(&cfg.out, &json).expect("write output file");
     print!("{json}");
     eprintln!("wrote {}", cfg.out);
+}
+
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("server_throughput needs the event-loop server (unix only)");
 }

@@ -22,7 +22,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOptions, BatchOutcome, BatchQuery};
-use knmatch_server::{AnyEngine, Client, EngineConfig, Server};
+use knmatch_server::{AnyEngine, Client, EngineConfig};
 use knmatch_storage::{CostModel, DiskDatabase};
 
 fn main() -> ExitCode {
@@ -64,8 +64,8 @@ fn usage() -> &'static str {
      knmatch serve <data.csv|db.knm> [--addr IP:PORT] [--workers W] \
      [--planner MODE | --shards <S|auto> | --disk [--pool-pages P] [--verify MODE] | \
      --mutable [--merge-threshold R]] \
-     [--max-conns N] [--event-loop [--executors E] [--reactor poll|epoll|auto] \
-     [--idle-timeout-ms MS] [--max-inflight N]]\n  \
+     [--max-conns N] [--executors E] [--reactor poll|epoll|auto] \
+     [--idle-timeout-ms MS] [--max-inflight N]\n  \
      knmatch client <host:port> (--queries <queries.csv> \
      (-k <K> -n <N> | -k <K> --frequent <N0> <N1> | --eps <E> -n <N>) \
      [--planner MODE] [--deadline-ms MS] [--fail-fast] [--binary] \
@@ -367,41 +367,25 @@ fn shown_ids(answer: &BatchAnswer) -> String {
     format!("{}{}", shown.join(", "), ellipsis)
 }
 
-/// Serves the configured engine over TCP until a client sends `SHUTDOWN`
-/// (or the process is killed). Prints the bound address eagerly — tests
-/// and scripts bind `--addr 127.0.0.1:0` and read the resolved port from
-/// that line — and returns the final counter summary.
+/// Serves the configured engine over TCP with the event-loop server
+/// until a client sends `SHUTDOWN` (or the process is killed). Prints the
+/// bound address eagerly — tests and scripts bind `--addr 127.0.0.1:0`
+/// and read the resolved port from that line — and returns the final
+/// counter summary.
+#[cfg(unix)]
 fn serve(args: &[String]) -> Result<String, String> {
     let data = args.first().ok_or("serve needs <data.csv|db.knm>")?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
     let cfg = EngineConfig::from_args(args)?;
-    let (server_cfg, event_loop) = knmatch_server::server_config_from_args(args)?;
+    let server_cfg = knmatch_server::server_config_from_args(args)?;
     let engine = cfg.open(data)?;
-    if event_loop {
-        #[cfg(unix)]
-        {
-            let reactor = server_cfg.reactor;
-            let server = knmatch_server::EventServer::bind(engine, addr, server_cfg)
-                .map_err(|e| format!("bind {addr}: {e}"))?;
-            println!(
-                "listening on {} (event loop, reactor {}, {}, {} points x {} dims)",
-                server.local_addr(),
-                reactor,
-                cfg.describe(),
-                server.engine().cardinality(),
-                server.engine().dims(),
-            );
-            std::io::stdout().flush().ok();
-            server.serve().map_err(|e| e.to_string())?;
-            return Ok(serve_summary(server.stats(), server.engine().plan_counts()));
-        }
-        #[cfg(not(unix))]
-        return Err("--event-loop needs poll(2) (unix); omit it for the blocking server".into());
-    }
-    let server = Server::bind(engine, addr, server_cfg).map_err(|e| format!("bind {addr}: {e}"))?;
+    let reactor = server_cfg.reactor.resolve();
+    let server = knmatch_server::EventServer::bind(engine, addr, server_cfg)
+        .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "listening on {} ({}, {} points x {} dims)",
+        "listening on {} (event loop, reactor {}, {}, {} points x {} dims)",
         server.local_addr(),
+        reactor,
         cfg.describe(),
         server.engine().cardinality(),
         server.engine().dims(),
@@ -411,7 +395,14 @@ fn serve(args: &[String]) -> Result<String, String> {
     Ok(serve_summary(server.stats(), server.engine().plan_counts()))
 }
 
-/// The post-drain one-liner both server front-ends print.
+/// The event-loop server needs `poll(2)`; there is no other front-end.
+#[cfg(not(unix))]
+fn serve(_args: &[String]) -> Result<String, String> {
+    Err("serve needs poll(2) (unix)".into())
+}
+
+/// The post-drain one-liner `serve` prints.
+#[cfg(unix)]
 fn serve_summary(
     t: knmatch_server::StatsSnapshot,
     plans: Option<knmatch_core::PlanTally>,
@@ -434,8 +425,7 @@ fn serve_summary(
 /// drains it, and `--queries` submits a batch (same query-spec flags as
 /// `batch`), printing the same per-query report. `--binary` speaks
 /// compact frames instead of text lines; `--pipeline DEPTH` sends the
-/// queries individually with up to DEPTH in flight (best against
-/// `serve --event-loop`).
+/// queries individually with up to DEPTH in flight.
 fn client(args: &[String]) -> Result<(String, bool), String> {
     let addr = args.first().ok_or("client needs <host:port>")?;
     let connect = || Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"));
@@ -1617,6 +1607,7 @@ mod ingest_tests {
     /// `serve` itself blocks until shutdown, so the server side binds
     /// through the same [`EngineConfig`] grammar the command uses.
     #[test]
+    #[cfg(unix)]
     fn ingest_streams_points_into_a_mutable_server() {
         let dir = std::env::temp_dir().join(format!("knmatch-cli-ingest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1646,7 +1637,7 @@ mod ingest_tests {
         let ds = knmatch_data::load_dataset(&data).unwrap();
 
         let cfg = EngineConfig::from_args(&s(&["--mutable", "--merge-threshold", "8"])).unwrap();
-        let server = Server::bind(
+        let server = knmatch_server::EventServer::bind(
             cfg.build_in_memory(&ds),
             "127.0.0.1:0",
             knmatch_server::ServerConfig::default(),
@@ -1693,7 +1684,7 @@ mod ingest_tests {
 
         // Against a read-only server every insert fails, the failures
         // are itemised, and the all-ok flag clears for the exit code.
-        let server = Server::bind(
+        let server = knmatch_server::EventServer::bind(
             EngineConfig::default().build_in_memory(&ds),
             "127.0.0.1:0",
             knmatch_server::ServerConfig::default(),

@@ -1,11 +1,10 @@
 //! A blocking client for the text protocol and its binary frame
-//! sibling — the other half of the conversation
-//! [`Server`](crate::Server) and [`EventServer`](crate::reactor) hold,
-//! used by `knmatch client`, the cross-check tests and the benches.
+//! sibling — the other half of the conversation the event-loop server
+//! ([`reactor`](crate::reactor)) holds, used by `knmatch client`, the cross-check tests and the benches.
 //!
 //! The receive path sniffs each response's first byte, so one client
 //! can mix text lines and binary frames on the same connection (the
-//! servers do the same for requests). [`Client::set_binary`] switches
+//! server does the same for requests). [`Client::set_binary`] switches
 //! what *this* client sends; [`Client::run_pipelined`] keeps a window
 //! of requests in flight against the event-loop server.
 

@@ -50,14 +50,11 @@
 //! and server scopes) followed by optional labelled groups, each
 //! declared once in [`STATS_GROUPS`](self) and rendered/parsed/encoded
 //! from that single table: the four plan counters (`plans_ad= …`,
-//! cost-based planner routing), the reactor extras (`conns_peak= …`,
-//! split into the legacy three-counter group, the backend group and the
-//! robustness group so lines from older servers still parse), and the
-//! version counters of a mutable engine (`epoch= live= delta= runs=
-//! tombstones= writes= merges=`). Groups are self-describing through
-//! their leading label, so every historical field count
-//! (12/15/16/19/23/27) and the new version-bearing shapes parse with
-//! the same walk.
+//! cost-based planner routing), the eleven reactor extras
+//! (`conns_peak= … deadline_cancels=`), and the version counters of a
+//! mutable engine (`epoch= live= delta= runs= tombstones= writes=
+//! merges=`). Groups are self-describing through their leading label,
+//! so one walk parses every combination of them.
 //!
 //! ## Binary frames
 //!
@@ -271,7 +268,8 @@ impl StatsSnapshot {
 /// `STATS` so clients, tests and benches can label results per backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReactorKind {
-    /// No reactor: the blocking thread-per-connection front-end.
+    /// No readiness backend reported (a server that has not started its
+    /// loop yet).
     #[default]
     None,
     /// The portable `poll(2)` event loop.
@@ -326,9 +324,8 @@ impl std::str::FromStr for ReactorKind {
     }
 }
 
-/// The server-scope reactor counters appended to `STATS` by front-ends
-/// that track them (the event-loop server; the blocking fallback reports
-/// `conns_peak` and zeroes for the pipelining fields).
+/// The server-scope reactor counters the event-loop server appends to
+/// every `STATS` reply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerExtras {
     /// Most connections simultaneously open over the server's lifetime.
@@ -444,12 +441,11 @@ struct StatsField {
     kind: FieldKind,
 }
 
-/// One optional `STATS` group: its binary flag bit, the flags that must
-/// accompany it, and its fields in wire order. A group's presence on the
-/// text wire is announced by its first field's label.
+/// One optional `STATS` group: its binary flag bit and its fields in
+/// wire order. A group's presence on the text wire is announced by its
+/// first field's label.
 struct StatsGroup {
     flag: u8,
-    requires: u8,
     fields: &'static [StatsField],
 }
 
@@ -464,14 +460,10 @@ const fn counter(
     }
 }
 
-/// Every optional group, in wire order. The extras split into three
-/// groups (legacy counters, backend, robustness) purely so lines and
-/// frames from older servers — which omit the later groups — still
-/// parse; all three land in one [`ServerExtras`].
+/// Every optional group, in wire order.
 const STATS_GROUPS: &[StatsGroup] = &[
     StatsGroup {
         flag: STATS_HAS_PLANS,
-        requires: 0,
         fields: &[
             counter("plans_ad", |b| b.plans.ad, |b, v| b.plans.ad = v),
             counter(
@@ -485,7 +477,6 @@ const STATS_GROUPS: &[StatsGroup] = &[
     },
     StatsGroup {
         flag: STATS_HAS_EXTRAS,
-        requires: 0,
         fields: &[
             counter(
                 "conns_peak",
@@ -502,12 +493,6 @@ const STATS_GROUPS: &[StatsGroup] = &[
                 |b| b.extras.frames_binary,
                 |b, v| b.extras.frames_binary = v,
             ),
-        ],
-    },
-    StatsGroup {
-        flag: STATS_HAS_REACTOR,
-        requires: STATS_HAS_EXTRAS,
-        fields: &[
             StatsField {
                 label: "reactor_backend",
                 kind: FieldKind::Backend {
@@ -530,12 +515,6 @@ const STATS_GROUPS: &[StatsGroup] = &[
                 |b| b.extras.writev_calls,
                 |b, v| b.extras.writev_calls = v,
             ),
-        ],
-    },
-    StatsGroup {
-        flag: STATS_HAS_ROBUST,
-        requires: STATS_HAS_EXTRAS,
-        fields: &[
             counter(
                 "conns_evicted",
                 |b| b.extras.conns_evicted,
@@ -560,7 +539,6 @@ const STATS_GROUPS: &[StatsGroup] = &[
     },
     StatsGroup {
         flag: STATS_HAS_VERSION,
-        requires: 0,
         fields: &[
             counter("epoch", |b| b.version.epoch, |b, v| b.version.epoch = v),
             counter("live", |b| b.version.live, |b, v| b.version.live = v),
@@ -590,9 +568,7 @@ const STATS_KNOWN_FLAGS: u8 = {
 };
 
 impl StatsBody {
-    /// Flattens a [`Response::Stats`]'s fields. A present extras value
-    /// always announces all three extras groups — the renderers emit
-    /// every field they know; only *parsers* tolerate elision.
+    /// Flattens a [`Response::Stats`]'s fields.
     fn from_parts(
         conn: &StatsSnapshot,
         server: &StatsSnapshot,
@@ -610,7 +586,7 @@ impl StatsBody {
             body.plans = *p;
         }
         if let Some(x) = extras {
-            body.present |= STATS_HAS_EXTRAS | STATS_HAS_REACTOR | STATS_HAS_ROBUST;
+            body.present |= STATS_HAS_EXTRAS;
             body.extras = *x;
         }
         if let Some(v) = version {
@@ -620,9 +596,7 @@ impl StatsBody {
         body
     }
 
-    /// Rebuilds the [`Response::Stats`] option fields. Partially present
-    /// extras groups (legacy senders) collapse into one [`ServerExtras`]
-    /// with the missing counters at their defaults.
+    /// Rebuilds the [`Response::Stats`] option fields.
     fn into_response(self) -> Response {
         Response::Stats {
             conn: self.conn,
@@ -658,8 +632,7 @@ fn render_stats_text(out: &mut String, body: &StatsBody) {
 
 /// Parses the fields after `OK STATS`: twelve mandatory counters, then
 /// the optional groups in table order, each announced by its leading
-/// label. Leftover fields that announce no group are an error, as is a
-/// group whose prerequisites are absent.
+/// label. Leftover fields that announce no group are an error.
 fn parse_stats_text(rest: &[&str]) -> Result<Response, ProtoError> {
     if rest.len() < 12 {
         return Err(err("STATS needs at least 12 counters"));
@@ -678,11 +651,6 @@ fn parse_stats_text(rest: &[&str]) -> Result<Response, ProtoError> {
             .is_some_and(|(label, _)| label == lead);
         if !announced {
             continue;
-        }
-        if body.present & group.requires != group.requires {
-            return Err(err(format!(
-                "STATS group led by {lead}= requires an absent earlier group"
-            )));
         }
         if rest.len() - i < group.fields.len() {
             return Err(err(format!(
@@ -1237,14 +1205,11 @@ const TAG_KNM: u8 = 0x01;
 const TAG_FREQ: u8 = 0x02;
 const TAG_EPS: u8 = 0x03;
 
-/// `STATS` payload flag bits. `STATS_HAS_REACTOR` extends the extras
-/// group with the backend kind and its event counters, and
-/// `STATS_HAS_ROBUST` with the overload/eviction counters; neither
-/// appears without `STATS_HAS_EXTRAS`.
+/// `STATS` payload flag bits, one per optional group. Bits `0x04` and
+/// `0x08` once split the extras group and are no longer assigned, so a
+/// frame carrying them is rejected as unknown.
 const STATS_HAS_PLANS: u8 = 0x01;
 const STATS_HAS_EXTRAS: u8 = 0x02;
-const STATS_HAS_REACTOR: u8 = 0x04;
-const STATS_HAS_ROBUST: u8 = 0x08;
 const STATS_HAS_VERSION: u8 = 0x10;
 
 /// A decoded binary request. Binary `BATCH` frames are self-contained
@@ -1838,11 +1803,6 @@ pub fn decode_response_frame(kind: u8, payload: &[u8]) -> Result<Response, Proto
             if flags & !STATS_KNOWN_FLAGS != 0 {
                 return Err(err(format!("unknown STATS flags {flags:#04x}")));
             }
-            for group in STATS_GROUPS {
-                if flags & group.flag != 0 && flags & group.requires != group.requires {
-                    return Err(err("STATS group present without its required group"));
-                }
-            }
             let mut sb = StatsBody {
                 present: flags,
                 conn: c.snapshot()?,
@@ -2388,8 +2348,9 @@ mod tests {
 
     #[test]
     fn stats_parse_accepts_every_field_shape() {
-        // 12, 15, 16, 19, 23 and 27 fields all parse; label prefixes
-        // disambiguate the 15-, 16-, 19- and 23-field shapes.
+        // The mandatory twelve alone, and with any combination of the
+        // plans, extras and version groups, all parse; the leading
+        // labels decide which groups are present.
         let base = Response::Stats {
             conn: StatsSnapshot::default(),
             server: StatsSnapshot::default(),
@@ -2399,90 +2360,46 @@ mod tests {
         };
         let line = format_response(&base);
         assert_eq!(parse_response(&line).unwrap(), base);
-        // A 15-field line whose 13th field claims to be plans is rejected
-        // rather than misread.
+        // A group cut short is rejected rather than misread.
         let bad = format!("{line} plans_ad=1 plans_vafile=2 plans_scan=3");
         assert!(parse_response(&bad).is_err());
-        // A legacy 15-field line (three-counter extras from a pre-backend
-        // server) still parses; the backend fields default.
-        let legacy = format!("{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1");
-        match parse_response(&legacy).unwrap() {
-            Response::Stats { extras, .. } => assert_eq!(
-                extras,
-                Some(ServerExtras {
-                    conns_peak: 4,
-                    pipeline_depth_max: 2,
-                    frames_binary: 1,
-                    ..ServerExtras::default()
-                })
-            ),
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        // The 19-field shape stays ambiguous on count alone: plans plus
-        // legacy extras, or no plans plus full extras. Labels decide.
-        let plans_form = format!(
-            "{line} plans_ad=1 plans_vafile=2 plans_scan=3 plans_igrid=4 \
-             conns_peak=4 pipeline_depth_max=2 frames_binary=1"
-        );
-        match parse_response(&plans_form).unwrap() {
-            Response::Stats { plans, extras, .. } => {
-                assert!(plans.is_some());
-                assert_eq!(extras.unwrap().reactor_backend, ReactorKind::None);
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        let backend_form = format!(
-            "{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
-             reactor_backend=epoll poll_iterations=5 events_dispatched=6 writev_calls=7"
-        );
-        match parse_response(&backend_form).unwrap() {
-            Response::Stats { plans, extras, .. } => {
+        let extras = ServerExtras {
+            conns_peak: 4,
+            pipeline_depth_max: 2,
+            frames_binary: 1,
+            reactor_backend: ReactorKind::Epoll,
+            poll_iterations: 5,
+            events_dispatched: 6,
+            writev_calls: 7,
+            conns_evicted: 8,
+            queries_shed: 9,
+            retries_observed: 10,
+            deadline_cancels: 11,
+        };
+        let extras_fields = "conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
+             reactor_backend=epoll poll_iterations=5 events_dispatched=6 writev_calls=7 \
+             conns_evicted=8 queries_shed=9 retries_observed=10 deadline_cancels=11";
+        // 23 fields: the extras without plans.
+        match parse_response(&format!("{line} {extras_fields}")).unwrap() {
+            Response::Stats {
+                plans, extras: x, ..
+            } => {
                 assert!(plans.is_none());
-                assert_eq!(extras.unwrap().reactor_backend, ReactorKind::Epoll);
+                assert_eq!(x, Some(extras));
             }
             other => panic!("expected STATS, got {other:?}"),
         }
+        // The extras are one group: a line that stops after the first
+        // three extras (the old pre-backend shape) is rejected.
+        let partial = format!("{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1");
+        assert!(parse_response(&partial).is_err());
         // An unknown backend token is rejected, not defaulted.
         let unknown = format!(
-            "{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
-             reactor_backend=kqueue poll_iterations=5 events_dispatched=6 writev_calls=7"
+            "{line} {}",
+            extras_fields.replace("reactor_backend=epoll", "reactor_backend=kqueue")
         );
         assert!(parse_response(&unknown).is_err());
-        // A pre-robustness 23-field line (plans plus 7-field extras)
-        // still parses; the robustness counters default to zero.
-        let legacy_23 = format!(
-            "{line} plans_ad=1 plans_vafile=2 plans_scan=3 plans_igrid=4 \
-             conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
-             reactor_backend=poll poll_iterations=5 events_dispatched=6 writev_calls=7"
-        );
-        match parse_response(&legacy_23).unwrap() {
-            Response::Stats { plans, extras, .. } => {
-                assert!(plans.is_some());
-                let x = extras.unwrap();
-                assert_eq!(x.writev_calls, 7);
-                assert_eq!((x.conns_evicted, x.queries_shed), (0, 0));
-                assert_eq!((x.retries_observed, x.deadline_cancels), (0, 0));
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        // 23 fields without plans is the no-plans robustness shape — the
-        // same count as the legacy plans form, split by the labels.
-        let robust_23 = format!(
-            "{line} conns_peak=4 pipeline_depth_max=2 frames_binary=1 \
-             reactor_backend=epoll poll_iterations=5 events_dispatched=6 writev_calls=7 \
-             conns_evicted=8 queries_shed=9 retries_observed=10 deadline_cancels=11"
-        );
-        match parse_response(&robust_23).unwrap() {
-            Response::Stats { plans, extras, .. } => {
-                assert!(plans.is_none());
-                let x = extras.unwrap();
-                assert_eq!(x.reactor_backend, ReactorKind::Epoll);
-                assert_eq!((x.conns_evicted, x.queries_shed), (8, 9));
-                assert_eq!((x.retries_observed, x.deadline_cancels), (10, 11));
-            }
-            other => panic!("expected STATS, got {other:?}"),
-        }
-        // The full 27-field shape must carry plans.
+        // The full 27-field shape: plans plus extras.
         let full = Response::Stats {
             conn: StatsSnapshot::default(),
             server: StatsSnapshot::default(),
@@ -2492,13 +2409,7 @@ mod tests {
                 scan: 3,
                 igrid: 4,
             }),
-            extras: Some(ServerExtras {
-                conns_evicted: 8,
-                queries_shed: 9,
-                retries_observed: 10,
-                deadline_cancels: 11,
-                ..ServerExtras::default()
-            }),
+            extras: Some(extras),
             version: None,
         };
         let full_line = format_response(&full);
@@ -2544,51 +2455,19 @@ mod tests {
         assert!(parse_response(&format!("{line} bogus=1")).is_err());
     }
 
-    /// Binary STATS frames from pre-robustness servers (extras group
-    /// without the `STATS_HAS_ROBUST` flag, or without the reactor
-    /// group) still decode; the missing counters default to zero.
+    /// Binary STATS frames carry one flag bit per group; bits no group
+    /// owns are rejected rather than skipped.
     #[test]
-    fn binary_stats_accepts_legacy_flag_combos() {
-        let conn = StatsSnapshot {
-            queries: 5,
-            ..StatsSnapshot::default()
-        };
-        let server = StatsSnapshot::default();
-        for reactor in [false, true] {
-            let mut payload = Vec::new();
-            let mut flags = STATS_HAS_EXTRAS;
-            if reactor {
-                flags |= STATS_HAS_REACTOR;
-            }
-            payload.push(flags);
-            put_snapshot(&mut payload, &conn);
-            put_snapshot(&mut payload, &server);
-            for v in [11u64, 12, 13] {
-                put_u64(&mut payload, v);
-            }
-            if reactor {
-                payload.push(ReactorKind::Poll.code());
-                for v in [14u64, 15, 16] {
-                    put_u64(&mut payload, v);
-                }
-            }
-            match decode_response_frame(RESP_STATS, &payload).unwrap() {
-                Response::Stats { extras, .. } => {
-                    let x = extras.unwrap();
-                    assert_eq!(x.conns_peak, 11);
-                    assert_eq!(x.writev_calls, if reactor { 16 } else { 0 });
-                    assert_eq!((x.conns_evicted, x.queries_shed), (0, 0));
-                    assert_eq!((x.retries_observed, x.deadline_cancels), (0, 0));
-                }
-                other => panic!("expected STATS, got {other:?}"),
-            }
+    fn binary_stats_rejects_unassigned_flags() {
+        for flags in [0x04, 0x08, STATS_HAS_EXTRAS | 0x04, 0x80] {
+            let mut payload = vec![flags];
+            put_snapshot(&mut payload, &StatsSnapshot::default());
+            put_snapshot(&mut payload, &StatsSnapshot::default());
+            assert!(
+                decode_response_frame(RESP_STATS, &payload).is_err(),
+                "flags {flags:#04x}"
+            );
         }
-        // The robust group without the extras group stays rejected.
-        let mut bad = Vec::new();
-        bad.push(STATS_HAS_ROBUST);
-        put_snapshot(&mut bad, &conn);
-        put_snapshot(&mut bad, &server);
-        assert!(decode_response_frame(RESP_STATS, &bad).is_err());
     }
 
     #[test]

@@ -7,125 +7,21 @@
 //! exactly when provoked.
 #![cfg(unix)]
 
-use std::net::SocketAddr;
+mod common;
+
 use std::thread;
 use std::time::Duration;
 
-use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, KnMatchError};
+use common::{backends, expected_wire, temp_csv, with_event_server, workload};
+use knmatch_core::{BatchEngine, BatchQuery};
 use knmatch_data::uniform;
 use knmatch_server::protocol::{format_query, retry_after_ms};
 use knmatch_server::{
-    Backend, Client, EngineConfig, ErrorKind, EventServer, NetFaultConfig, ReactorChoice, Response,
-    RetryPolicy, RetryingClient, ServerConfig, ServerExtras, StatsSnapshot,
+    Backend, Client, EngineConfig, ErrorKind, NetFaultConfig, Response, RetryPolicy,
+    RetryingClient, ServerConfig,
 };
 
-/// The readiness backends this host can run: `poll` everywhere, plus
-/// `epoll` on Linux.
-fn backends() -> Vec<ReactorChoice> {
-    if cfg!(target_os = "linux") {
-        vec![ReactorChoice::Poll, ReactorChoice::Epoll]
-    } else {
-        vec![ReactorChoice::Poll]
-    }
-}
-
-struct ShutdownGuard(knmatch_server::ShutdownHandle);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Binds an ephemeral-port event server over `engine`, runs `f` against
-/// it, shuts down, and returns the final counters plus the event-loop
-/// extras. `serve` itself asserts the buffer-pool leak ledger balances
-/// after the drain, so every test here checks "zero leaks" for free.
-fn with_event_server<E, F>(engine: E, cfg: ServerConfig, f: F) -> (StatsSnapshot, ServerExtras)
-where
-    E: BatchEngine + Sync,
-    F: FnOnce(SocketAddr),
-{
-    let server = EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        {
-            let _guard = ShutdownGuard(handle);
-            f(addr);
-        }
-        serving.join().expect("server thread");
-    });
-    (server.stats(), server.extras())
-}
-
-fn temp_csv(tag: &str) -> (TempDir, String) {
-    let dir = std::env::temp_dir().join(format!("knmatch-chaos-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let ds = uniform(200, 4, 0x5EED);
-    let csv = dir.join("data.csv");
-    knmatch_data::save_dataset(&csv, &ds).expect("write csv");
-    (TempDir(dir.clone()), csv.to_string_lossy().into_owned())
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// The chaos workload: all three query kinds plus two invalid slots, so
-/// error answers have to survive the faults bit-identically too.
-fn workload(dims: usize) -> Vec<BatchQuery> {
-    let mut queries = Vec::new();
-    for i in 0..4 {
-        let v = 0.15 + 0.2 * i as f64;
-        queries.push(BatchQuery::KnMatch {
-            query: vec![v; dims],
-            k: 3,
-            n: 2,
-        });
-        queries.push(BatchQuery::Frequent {
-            query: vec![1.0 - v; dims],
-            k: 2,
-            n0: 1,
-            n1: dims,
-        });
-        queries.push(BatchQuery::EpsMatch {
-            query: vec![v; dims],
-            eps: 0.05,
-            n: 2,
-        });
-    }
-    queries.push(BatchQuery::KnMatch {
-        query: vec![0.5; dims + 1],
-        k: 1,
-        n: 1,
-    });
-    queries.push(BatchQuery::EpsMatch {
-        query: vec![0.5; dims],
-        eps: -1.0,
-        n: 1,
-    });
-    queries
-}
-
-fn expected_wire<O: BatchOutcome>(
-    direct: Vec<Result<O, KnMatchError>>,
-) -> Vec<Result<knmatch_core::BatchAnswer, (ErrorKind, String)>> {
-    direct
-        .into_iter()
-        .map(|r| match r {
-            Ok(o) => Ok(o.into_answer()),
-            Err(e) => Err((ErrorKind::of_error(&e), e.to_string())),
-        })
-        .collect()
-}
-
-/// The tentpole's core claim: at fault rates 1% / 10% / 30%, on every
+/// At fault rates 1% / 10% / 30%, on every
 /// readiness backend, at engine workers 1 / 2 / 4, three concurrent
 /// retrying clients (mixed text and binary framing) get batch answers
 /// bit-identical to a direct engine run — torn frames, short writes,
@@ -211,10 +107,9 @@ fn chaos_matrix_bit_identical_under_faults() {
     }
 }
 
-/// Satellite 1: with no work and no deadlines pending, the reactor
-/// parks in its wait call instead of ticking — an idle server with one
-/// parked connection burns a bounded handful of loop iterations, not
-/// one per `poll_interval`.
+/// With no work and no deadlines pending, the reactor parks in its wait
+/// call instead of ticking — an idle server with one parked connection
+/// burns a bounded handful of loop iterations, not one per fixed tick.
 #[test]
 fn adaptive_wait_keeps_idle_reactor_quiet() {
     let (_dir, csv) = temp_csv("idlecpu");
@@ -244,7 +139,7 @@ fn adaptive_wait_keeps_idle_reactor_quiet() {
     }
 }
 
-/// Satellite 1b + tentpole: a peer idle past `--idle-timeout-ms` is
+/// A peer idle past `--idle-timeout-ms` is
 /// evicted (slow-loris defence), counted, and the wait timeout wakes
 /// the reactor for it without a busy tick.
 #[test]
@@ -270,7 +165,7 @@ fn idle_peers_are_evicted() {
     }
 }
 
-/// Tentpole: past the in-flight budget the server sheds queries with
+/// Past the in-flight budget the server sheds queries with
 /// `ERR overloaded` *before* parsing them, keeps the connection usable,
 /// hands the client a `retry-after-ms` hint, and counts every shed.
 #[test]
@@ -328,7 +223,7 @@ fn overload_sheds_with_retry_after_hint() {
     }
 }
 
-/// Tentpole: `ERR busy` (connection limit) carries the retry-after hint
+/// `ERR busy` (connection limit) carries the retry-after hint
 /// and a [`RetryingClient`] rides it out — backing off until the seat
 /// frees up, then getting the real answer.
 #[test]
@@ -383,7 +278,7 @@ fn busy_reject_backs_off_and_wins_a_seat() {
     }
 }
 
-/// Tentpole: the `DEADLINE` budget propagates into queued jobs as an
+/// The `DEADLINE` budget propagates into queued jobs as an
 /// absolute instant, so work that expires while waiting behind a slow
 /// queue is cancelled at pickup (counted, answered `ERR timeout`)
 /// instead of burning an executor on a doomed query.

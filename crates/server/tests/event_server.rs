@@ -1,126 +1,24 @@
-//! The event-loop server serves the same protocol as the blocking one:
-//! pipelined answers bit-identical to direct engine runs, strict
-//! response ordering, mixed text/binary connections, instant drain.
+//! The event-loop server end to end: pipelined answers bit-identical to
+//! direct engine runs, strict response ordering, mixed text/binary
+//! connections, instant drain.
 #![cfg(unix)]
+
+mod common;
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, KnMatchError};
-use knmatch_data::uniform;
+use common::{backends, expected_wire, temp_csv, with_event_server, workload};
+use knmatch_core::{BatchEngine, BatchQuery};
 use knmatch_server::protocol::{encode_batch_frame, encode_query_frame, format_query};
 use knmatch_server::{
     Backend, Client, EngineConfig, ErrorKind, EventServer, ReactorChoice, ReactorKind, Response,
-    ServerConfig, StatsSnapshot,
+    ServerConfig,
 };
 
-/// The readiness backends this host can run: `poll` everywhere, plus
-/// `epoll` on Linux.
-fn backends() -> Vec<ReactorChoice> {
-    if cfg!(target_os = "linux") {
-        vec![ReactorChoice::Poll, ReactorChoice::Epoll]
-    } else {
-        vec![ReactorChoice::Poll]
-    }
-}
-
-struct ShutdownGuard(knmatch_server::ShutdownHandle);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Binds an ephemeral-port event server over `engine`, runs `f` against
-/// it, shuts down, and returns the server's final counters.
-fn with_event_server<E, F>(engine: E, cfg: ServerConfig, f: F) -> StatsSnapshot
-where
-    E: BatchEngine + Sync,
-    F: FnOnce(SocketAddr),
-{
-    let server = EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        {
-            let _guard = ShutdownGuard(handle);
-            f(addr);
-        }
-        serving.join().expect("server thread");
-    });
-    server.stats()
-}
-
-/// The cross-check workload: all three query kinds plus two invalid
-/// slots (dimension mismatch, negative epsilon).
-fn workload(dims: usize) -> Vec<BatchQuery> {
-    let mut queries = Vec::new();
-    for i in 0..4 {
-        let v = 0.15 + 0.2 * i as f64;
-        queries.push(BatchQuery::KnMatch {
-            query: vec![v; dims],
-            k: 3,
-            n: 2,
-        });
-        queries.push(BatchQuery::Frequent {
-            query: vec![1.0 - v; dims],
-            k: 2,
-            n0: 1,
-            n1: dims,
-        });
-        queries.push(BatchQuery::EpsMatch {
-            query: vec![v; dims],
-            eps: 0.05,
-            n: 2,
-        });
-    }
-    queries.push(BatchQuery::KnMatch {
-        query: vec![0.5; dims + 1],
-        k: 1,
-        n: 1,
-    });
-    queries.push(BatchQuery::EpsMatch {
-        query: vec![0.5; dims],
-        eps: -1.0,
-        n: 1,
-    });
-    queries
-}
-
-fn expected_wire<O: BatchOutcome>(
-    direct: Vec<Result<O, KnMatchError>>,
-) -> Vec<Result<knmatch_core::BatchAnswer, (ErrorKind, String)>> {
-    direct
-        .into_iter()
-        .map(|r| match r {
-            Ok(o) => Ok(o.into_answer()),
-            Err(e) => Err((ErrorKind::of_error(&e), e.to_string())),
-        })
-        .collect()
-}
-
-fn temp_csv(tag: &str) -> (TempDir, String) {
-    let dir = std::env::temp_dir().join(format!("knmatch-event-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let ds = uniform(200, 4, 0x5EED);
-    let csv = dir.join("data.csv");
-    knmatch_data::save_dataset(&csv, &ds).expect("write csv");
-    (TempDir(dir.clone()), csv.to_string_lossy().into_owned())
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Satellite 3's core claim: pipelined answers (text and binary) are
+/// Pipelined answers (text and binary) are
 /// bit-identical to direct `BatchEngine` runs at workers 1/2/4, and
 /// arrive strictly in submission order.
 #[test]
@@ -137,7 +35,7 @@ fn pipelined_answers_bit_identical_at_every_worker_count() {
         let engine = cfg.open(&csv).expect("open engine");
         let expected = expected_wire(engine.run(&queries));
 
-        let stats = with_event_server(
+        let (stats, _) = with_event_server(
             engine,
             ServerConfig {
                 executors: 2,
@@ -244,7 +142,7 @@ fn text_and_binary_interleave_on_one_connection() {
     });
 }
 
-/// STATS grows the reactor extras (satellite 4): peak connections,
+/// STATS carries the reactor extras: peak connections,
 /// deepest pipeline, and binary frame count all travel the text wire.
 #[test]
 fn stats_extras_report_reactor_counters() {
@@ -297,10 +195,8 @@ fn stats_extras_report_reactor_counters() {
     });
 }
 
-/// Satellite 2: shutdown wakes every connection immediately — the drain
-/// completes in under 10ms even with idle pipelined clients parked on
-/// the server (the blocking server needed a `poll_interval` round trip
-/// per handler).
+/// Shutdown wakes every connection immediately — the drain completes in
+/// under 10ms even with idle pipelined clients parked on the server.
 #[test]
 fn graceful_drain_completes_under_ten_ms() {
     let (_dir, csv) = temp_csv("drain");
@@ -348,8 +244,8 @@ fn graceful_drain_completes_under_ten_ms() {
     }
 }
 
-/// Over-limit connections get `ERR busy` and a close, like the blocking
-/// server.
+/// Over-limit connections get `ERR busy` and an immediate close; the
+/// connection already seated is unaffected.
 #[test]
 fn connection_limit_rejects_with_busy() {
     let (_dir, csv) = temp_csv("busy");
@@ -361,7 +257,7 @@ fn connection_limit_rejects_with_busy() {
     }
     .open(&csv)
     .expect("open engine");
-    let stats = with_event_server(
+    let (stats, _) = with_event_server(
         engine,
         ServerConfig {
             max_connections: 1,
@@ -475,7 +371,7 @@ fn capture_stream(addr: SocketAddr, chunks: &[Vec<u8>]) -> Vec<u8> {
     captured
 }
 
-/// The tentpole's bit-identity claim: the same pipelined request stream
+/// Bit identity across backends: the same pipelined request stream
 /// through `--reactor poll` and `--reactor epoll` produces the same
 /// response bytes — across worker counts 1/2/4 and pipeline depths
 /// 1/8/64 (requests per write burst).

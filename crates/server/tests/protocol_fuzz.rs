@@ -7,43 +7,24 @@
 //! Everything is seeded (`knmatch_data::rng::seeded`), so a passing run
 //! is reproducible, not lucky.
 
+#![cfg(unix)]
+
+mod common;
+
 use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
+use common::{backends, on, ShutdownGuard};
 use knmatch_core::{BatchAnswer, BatchEngine, BatchOutcome, BatchQuery};
 use knmatch_data::rng::{seeded, Rng64};
 use knmatch_data::uniform;
-#[cfg(unix)]
-use knmatch_server::ReactorChoice;
 use knmatch_server::{
-    Backend, Client, EngineConfig, ErrorKind, Response, Server, ServerConfig, MAX_LINE,
+    Backend, Client, EngineConfig, ErrorKind, EventServer, Response, ServerConfig, MAX_LINE,
 };
 
 const SEED: u64 = 0x000F_0225_FA57;
 const ROUNDS: usize = 24;
-
-/// The readiness backends this host can run: `poll` everywhere, plus
-/// `epoll` on Linux.
-#[cfg(unix)]
-fn backends() -> Vec<ReactorChoice> {
-    if cfg!(target_os = "linux") {
-        vec![ReactorChoice::Poll, ReactorChoice::Epoll]
-    } else {
-        vec![ReactorChoice::Poll]
-    }
-}
-
-/// Fires shutdown when dropped, so an assertion failure inside the test
-/// body unblocks the scoped server thread instead of deadlocking the
-/// `thread::scope` join.
-struct ShutdownGuard(knmatch_server::ShutdownHandle);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
 
 fn build_engine() -> knmatch_server::AnyEngine {
     let ds = uniform(120, 3, 0xDA7A);
@@ -159,40 +140,42 @@ fn assert_healthy(addr: SocketAddr, probe: &BatchQuery, expected: &BatchAnswer, 
 
 #[test]
 fn fuzzed_frames_never_take_the_server_down() {
-    let engine = build_engine();
-    let (probe, expected) = probe_and_expected(&engine);
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
+    for reactor in backends() {
+        let engine = build_engine();
+        let (probe, expected) = probe_and_expected(&engine);
+        let server = EventServer::bind(engine, "127.0.0.1:0", on(reactor)).expect("bind");
+        let addr = server.local_addr();
+        let handle = server.handle();
 
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        {
-            let _guard = ShutdownGuard(handle);
-            let mut rng = seeded(SEED);
+        thread::scope(|s| {
+            let serving = s.spawn(|| server.serve().expect("serve"));
+            {
+                let _guard = ShutdownGuard(handle);
+                let mut rng = seeded(SEED);
 
-            for round in 0..ROUNDS {
-                // Garbage on its own connection, then abandon it
-                // mid-stream: the server must survive EOF at any
-                // protocol state.
-                let mut attacker = Client::connect(addr).expect("connect attacker");
-                attacker
-                    .send_raw(&garbage(&mut rng, round))
-                    .expect("send garbage");
-                drain(&mut attacker);
-                drop(attacker);
+                for round in 0..ROUNDS {
+                    // Garbage on its own connection, then abandon it
+                    // mid-stream: the server must survive EOF at any
+                    // protocol state.
+                    let mut attacker = Client::connect(addr).expect("connect attacker");
+                    attacker
+                        .send_raw(&garbage(&mut rng, round))
+                        .expect("send garbage");
+                    drain(&mut attacker);
+                    drop(attacker);
 
-                // The server still answers a well-formed query, correctly.
-                assert_healthy(addr, &probe, &expected, round);
+                    // The server still answers a well-formed query, correctly.
+                    assert_healthy(addr, &probe, &expected, round);
+                }
             }
-        }
-        serving.join().expect("server thread");
-    });
-    let stats = server.stats();
-    assert!(
-        stats.errors > 0,
-        "fuzz rounds should have drawn ERR responses"
-    );
+            serving.join().expect("server thread");
+        });
+        let stats = server.stats();
+        assert!(
+            stats.errors > 0,
+            "fuzz rounds should have drawn ERR responses under {reactor}"
+        );
+    }
 }
 
 /// Same-connection recovery: after an in-protocol error the connection
@@ -200,72 +183,73 @@ fn fuzzed_frames_never_take_the_server_down() {
 /// ERR, and the next line is processed normally.
 #[test]
 fn connection_recovers_after_in_protocol_errors() {
-    let engine = build_engine();
-    let (probe, expected) = probe_and_expected(&engine);
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
+    for reactor in backends() {
+        let engine = build_engine();
+        let (probe, expected) = probe_and_expected(&engine);
+        let server = EventServer::bind(engine, "127.0.0.1:0", on(reactor)).expect("bind");
+        let addr = server.local_addr();
+        let handle = server.handle();
 
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        let _guard = ShutdownGuard(handle);
-        let mut client = Client::connect(addr).expect("connect");
-        client.set_timeout(Some(Duration::from_secs(10))).ok();
+        thread::scope(|s| {
+            let serving = s.spawn(|| server.serve().expect("serve"));
+            let _guard = ShutdownGuard(handle);
+            let mut client = Client::connect(addr).expect("connect");
+            client.set_timeout(Some(Duration::from_secs(10))).ok();
 
-        // Unknown verb → ERR parse, connection lives.
-        client.send_raw(b"FLY 1 2 3\n").expect("send");
-        match client.recv_response().expect("response") {
-            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Parse),
-            other => panic!("expected ERR parse, got {other:?}"),
-        }
-
-        // Oversized line → ERR oversized, connection lives.
-        let mut big = vec![b'z'; MAX_LINE + 17];
-        big.push(b'\n');
-        client.send_raw(&big).expect("send oversized");
-        match client.recv_response().expect("response") {
-            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Oversized),
-            other => panic!("expected ERR oversized, got {other:?}"),
-        }
-
-        // A batch mixing malformed and valid lines answers every slot
-        // in order and still sends the DONE trailer.
-        client
-            .send_raw(b"BATCH 3\nKNM 4 2 0.5,0.25,0.75\nnot a query\nKNM 4 2 0.5,0.25,0.75\n")
-            .expect("send mixed batch");
-        match client.recv_response().expect("slot 0") {
-            Response::Answer(a) => assert_eq!(a, expected),
-            other => panic!("expected answer, got {other:?}"),
-        }
-        match client.recv_response().expect("slot 1") {
-            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Parse),
-            other => panic!("expected ERR parse, got {other:?}"),
-        }
-        match client.recv_response().expect("slot 2") {
-            Response::Answer(a) => assert_eq!(a, expected),
-            other => panic!("expected answer, got {other:?}"),
-        }
-        match client.recv_response().expect("trailer") {
-            Response::Done { ok, failed } => {
-                assert_eq!(ok, 2);
-                assert_eq!(failed, 1);
+            // Unknown verb → ERR parse, connection lives.
+            client.send_raw(b"FLY 1 2 3\n").expect("send");
+            match client.recv_response().expect("response") {
+                Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Parse),
+                other => panic!("expected ERR parse, got {other:?}"),
             }
-            other => panic!("expected DONE, got {other:?}"),
-        }
 
-        // And the ordinary client path still works on this connection.
-        let got = client.query(&probe).expect("transport").expect("answer");
-        assert_eq!(got, expected);
-        client.quit().expect("quit");
+            // Oversized line → ERR oversized, connection lives.
+            let mut big = vec![b'z'; MAX_LINE + 17];
+            big.push(b'\n');
+            client.send_raw(&big).expect("send oversized");
+            match client.recv_response().expect("response") {
+                Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Oversized),
+                other => panic!("expected ERR oversized, got {other:?}"),
+            }
 
-        drop(_guard);
-        serving.join().expect("server thread");
-    });
+            // A batch mixing malformed and valid lines answers every slot
+            // in order and still sends the DONE trailer.
+            client
+                .send_raw(b"BATCH 3\nKNM 4 2 0.5,0.25,0.75\nnot a query\nKNM 4 2 0.5,0.25,0.75\n")
+                .expect("send mixed batch");
+            match client.recv_response().expect("slot 0") {
+                Response::Answer(a) => assert_eq!(a, expected),
+                other => panic!("expected answer, got {other:?}"),
+            }
+            match client.recv_response().expect("slot 1") {
+                Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Parse),
+                other => panic!("expected ERR parse, got {other:?}"),
+            }
+            match client.recv_response().expect("slot 2") {
+                Response::Answer(a) => assert_eq!(a, expected),
+                other => panic!("expected answer, got {other:?}"),
+            }
+            match client.recv_response().expect("trailer") {
+                Response::Done { ok, failed } => {
+                    assert_eq!(ok, 2);
+                    assert_eq!(failed, 1);
+                }
+                other => panic!("expected DONE, got {other:?}"),
+            }
+
+            // And the ordinary client path still works on this connection.
+            let got = client.query(&probe).expect("transport").expect("answer");
+            assert_eq!(got, expected);
+            client.quit().expect("quit");
+
+            drop(_guard);
+            serving.join().expect("server thread");
+        });
+    }
 }
 
 /// One malformed binary payload per round: unknown kinds, truncated
 /// frames, forged lengths and counts, magic followed by junk.
-#[cfg(unix)]
 fn binary_garbage(rng: &mut Rng64, round: usize) -> Vec<u8> {
     use knmatch_server::protocol::encode_request_frame;
     use knmatch_server::{Request, FRAME_MAGIC, MAX_FRAME};
@@ -329,21 +313,15 @@ fn binary_garbage(rng: &mut Rng64, round: usize) -> Vec<u8> {
     }
 }
 
-/// The event-loop server under the same regime as the blocking one:
-/// seeded malformed *binary* frames (interleaved with text noise) never
+/// Seeded malformed *binary* frames (interleaved with text noise) never
 /// take it down, and correct answers keep flowing — under every
 /// readiness backend the host offers.
-#[cfg(unix)]
 #[test]
 fn event_server_survives_binary_garbage() {
     for reactor in backends() {
         let engine = build_engine();
         let (probe, expected) = probe_and_expected(&engine);
-        let cfg = ServerConfig {
-            reactor,
-            ..ServerConfig::default()
-        };
-        let server = knmatch_server::EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
+        let server = EventServer::bind(engine, "127.0.0.1:0", on(reactor)).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
 
@@ -385,7 +363,6 @@ fn event_server_survives_binary_garbage() {
 /// Frames split at arbitrary syscall boundaries reassemble exactly: a
 /// mixed text/binary request stream delivered a few bytes at a time
 /// yields the same responses, in order, as one large write.
-#[cfg(unix)]
 #[test]
 fn split_writes_reassemble_across_syscall_boundaries() {
     use knmatch_server::protocol::{encode_batch_frame, encode_request_frame, format_query};
@@ -394,11 +371,7 @@ fn split_writes_reassemble_across_syscall_boundaries() {
     for reactor in backends() {
         let engine = build_engine();
         let (probe, expected) = probe_and_expected(&engine);
-        let cfg = ServerConfig {
-            reactor,
-            ..ServerConfig::default()
-        };
-        let server = knmatch_server::EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
+        let server = EventServer::bind(engine, "127.0.0.1:0", on(reactor)).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
 
@@ -467,7 +440,6 @@ fn split_writes_reassemble_across_syscall_boundaries() {
 /// are sent while nothing is read, so the server's socket buffer fills
 /// and `writev` returns partial counts mid-iovec; the resumed flush must
 /// still deliver every response byte-exactly and in order.
-#[cfg(unix)]
 #[test]
 fn slow_reader_forces_partial_writev_resume() {
     const BATCHES: usize = 20;
@@ -495,7 +467,7 @@ fn slow_reader_forces_partial_writev_resume() {
             reactor,
             ..ServerConfig::default()
         };
-        let server = knmatch_server::EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
+        let server = EventServer::bind(engine, "127.0.0.1:0", cfg).expect("bind");
         let addr = server.local_addr();
         let handle = server.handle();
 

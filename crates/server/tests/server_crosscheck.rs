@@ -1,98 +1,34 @@
 //! Served answers are bit-identical to direct engine calls, for every
-//! backend, at every worker count, under concurrent clients.
+//! engine backend, at every worker count, under concurrent clients, on
+//! every readiness backend the host offers.
 //!
 //! The text protocol renders floats with Rust's shortest round-trip
 //! `Display`, so equality here is exact `BatchAnswer == BatchAnswer` —
 //! no tolerance.
 
+#![cfg(unix)]
+
+mod common;
+
 use std::net::SocketAddr;
 use std::thread;
 
-use knmatch_core::{BatchEngine, BatchOutcome, BatchQuery, KnMatchError};
-use knmatch_data::uniform;
-use knmatch_server::{
-    Backend, Client, EngineConfig, ErrorKind, Server, ServerConfig, StatsSnapshot,
-};
+use common::{backends, expected_wire, on, temp_csv, with_event_server, workload, TempDir};
+use knmatch_core::{BatchEngine, BatchQuery};
+use knmatch_server::{Backend, Client, EngineConfig, StatsSnapshot};
 use knmatch_storage::DiskDatabase;
 
-/// Fires shutdown when dropped, so an assertion failure inside a test
-/// closure unblocks the scoped server thread instead of deadlocking the
-/// `thread::scope` join.
-struct ShutdownGuard(knmatch_server::ShutdownHandle);
-
-impl Drop for ShutdownGuard {
-    fn drop(&mut self) {
-        self.0.shutdown();
-    }
-}
-
-/// Binds an ephemeral-port server over `engine`, runs `f` against it,
-/// shuts down, and returns the server's final counters.
-fn with_server<E, F>(engine: E, f: F) -> StatsSnapshot
+/// Runs `f` against an ephemeral-port server over a fresh engine from
+/// `open`, once per readiness backend, and returns each run's final
+/// counters.
+fn on_every_backend<E, F>(open: impl Fn() -> E, f: F) -> Vec<StatsSnapshot>
 where
     E: BatchEngine + Sync,
-    F: FnOnce(SocketAddr),
+    F: Fn(SocketAddr),
 {
-    let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        {
-            let _guard = ShutdownGuard(handle);
-            f(addr);
-        }
-        serving.join().expect("server thread");
-    });
-    server.stats()
-}
-
-/// A mixed workload: all three query kinds plus two invalid slots (a
-/// dimension mismatch and a negative epsilon).
-fn workload(dims: usize) -> Vec<BatchQuery> {
-    let mut queries = Vec::new();
-    for i in 0..4 {
-        let v = 0.15 + 0.2 * i as f64;
-        queries.push(BatchQuery::KnMatch {
-            query: vec![v; dims],
-            k: 3,
-            n: 2,
-        });
-        queries.push(BatchQuery::Frequent {
-            query: vec![1.0 - v; dims],
-            k: 2,
-            n0: 1,
-            n1: dims,
-        });
-        queries.push(BatchQuery::EpsMatch {
-            query: vec![v; dims],
-            eps: 0.05,
-            n: 2,
-        });
-    }
-    queries.push(BatchQuery::KnMatch {
-        query: vec![0.5; dims + 1],
-        k: 1,
-        n: 1,
-    });
-    queries.push(BatchQuery::EpsMatch {
-        query: vec![0.5; dims],
-        eps: -1.0,
-        n: 1,
-    });
-    queries
-}
-
-/// What the wire must carry for each direct-run slot.
-fn expected_wire<O: BatchOutcome>(
-    direct: Vec<Result<O, KnMatchError>>,
-) -> Vec<Result<knmatch_core::BatchAnswer, (ErrorKind, String)>> {
-    direct
+    backends()
         .into_iter()
-        .map(|r| match r {
-            Ok(o) => Ok(o.into_answer()),
-            Err(e) => Err((ErrorKind::of_error(&e), e.to_string())),
-        })
+        .map(|reactor| with_event_server(open(), on(reactor), &f).0)
         .collect()
 }
 
@@ -105,43 +41,47 @@ fn check_backend(backend: Backend, path: &str) {
             planner: None,
             ..EngineConfig::default()
         };
-        let engine = cfg.open(path).expect("open engine");
-        let expected = expected_wire(engine.run(&queries));
+        let expected = expected_wire(cfg.open(path).expect("open engine").run(&queries));
 
-        let stats = with_server(engine, |addr| {
-            // Three concurrent clients, each submitting the whole batch
-            // twice; all must see the direct-run answers bit-for-bit.
-            thread::scope(|s| {
-                for _ in 0..3 {
-                    let queries = &queries;
-                    let expected = &expected;
-                    s.spawn(move || {
-                        let mut client = Client::connect(addr).expect("connect");
-                        client.ping().expect("ping");
-                        for _ in 0..2 {
-                            let reply = client.run_batch(queries).expect("batch");
-                            assert_eq!(reply.answers.len(), expected.len());
-                            assert_eq!(reply.ok, 12, "backend {backend:?} x{workers}");
-                            assert_eq!(reply.failed, 2);
-                            for (got, want) in reply.answers.iter().zip(expected) {
-                                match (got, want) {
-                                    (Ok(a), Ok(b)) => assert_eq!(a, b, "answer diverged"),
-                                    (Err(e), Err((kind, msg))) => {
-                                        assert_eq!(e.kind, *kind);
-                                        assert_eq!(&e.message, msg);
+        let runs = on_every_backend(
+            || cfg.open(path).expect("open engine"),
+            |addr| {
+                // Three concurrent clients, each submitting the whole batch
+                // twice; all must see the direct-run answers bit-for-bit.
+                thread::scope(|s| {
+                    for _ in 0..3 {
+                        let queries = &queries;
+                        let expected = &expected;
+                        s.spawn(move || {
+                            let mut client = Client::connect(addr).expect("connect");
+                            client.ping().expect("ping");
+                            for _ in 0..2 {
+                                let reply = client.run_batch(queries).expect("batch");
+                                assert_eq!(reply.answers.len(), expected.len());
+                                assert_eq!(reply.ok, 12, "backend {backend:?} x{workers}");
+                                assert_eq!(reply.failed, 2);
+                                for (got, want) in reply.answers.iter().zip(expected) {
+                                    match (got, want) {
+                                        (Ok(a), Ok(b)) => assert_eq!(a, b, "answer diverged"),
+                                        (Err(e), Err((kind, msg))) => {
+                                            assert_eq!(e.kind, *kind);
+                                            assert_eq!(&e.message, msg);
+                                        }
+                                        other => panic!("slot shape diverged: {other:?}"),
                                     }
-                                    other => panic!("slot shape diverged: {other:?}"),
                                 }
                             }
-                        }
-                        client.quit().expect("quit");
-                    });
-                }
-            });
-        });
-        assert_eq!(stats.connections, 3);
-        assert_eq!(stats.queries, 3 * 2 * queries.len() as u64);
-        assert_eq!(stats.errors, 3 * 2 * 2, "two invalid slots per batch");
+                            client.quit().expect("quit");
+                        });
+                    }
+                });
+            },
+        );
+        for stats in runs {
+            assert_eq!(stats.connections, 3);
+            assert_eq!(stats.queries, 3 * 2 * queries.len() as u64);
+            assert_eq!(stats.errors, 3 * 2 * 2, "two invalid slots per batch");
+        }
     }
 }
 
@@ -168,52 +108,55 @@ fn planned_backend_bit_identical_over_the_wire() {
             planner: Some(knmatch_core::PlannerMode::Auto),
             ..EngineConfig::default()
         };
-        let engine = cfg.open(&csv).expect("open engine");
-        let expected = expected_wire(engine.run(&queries));
-        with_server(engine, |addr| {
-            let mut client = Client::connect(addr).expect("connect");
-            for mode in [
-                knmatch_core::PlannerMode::Auto,
-                knmatch_core::PlannerMode::Ad,
-                knmatch_core::PlannerMode::VaFile,
-                knmatch_core::PlannerMode::Scan,
-                knmatch_core::PlannerMode::IGrid,
-            ] {
-                client.set_planner(mode).expect("set planner");
-                let reply = client.run_batch(&queries).expect("batch");
-                for (got, want) in reply.answers.iter().zip(&expected) {
-                    match (got, want) {
-                        (Ok(a), Ok(b)) => assert_eq!(a, b, "mode {mode} diverged"),
-                        (Err(e), Err((kind, _))) => assert_eq!(e.kind, *kind),
-                        other => panic!("slot shape diverged: {other:?}"),
+        let expected = expected_wire(cfg.open(&csv).expect("open engine").run(&queries));
+        on_every_backend(
+            || cfg.open(&csv).expect("open engine"),
+            |addr| {
+                let mut client = Client::connect(addr).expect("connect");
+                for mode in [
+                    knmatch_core::PlannerMode::Auto,
+                    knmatch_core::PlannerMode::Ad,
+                    knmatch_core::PlannerMode::VaFile,
+                    knmatch_core::PlannerMode::Scan,
+                    knmatch_core::PlannerMode::IGrid,
+                ] {
+                    client.set_planner(mode).expect("set planner");
+                    let reply = client.run_batch(&queries).expect("batch");
+                    for (got, want) in reply.answers.iter().zip(&expected) {
+                        match (got, want) {
+                            (Ok(a), Ok(b)) => assert_eq!(a, b, "mode {mode} diverged"),
+                            (Err(e), Err((kind, _))) => assert_eq!(e.kind, *kind),
+                            other => panic!("slot shape diverged: {other:?}"),
+                        }
                     }
                 }
-            }
-            // The tally travelled back through STATS: the direct baseline
-            // run plus five served modes, 12 valid queries each (invalid
-            // slots never reach a backend).
-            let (_, _, plans) = client.stats_with_plans().expect("stats");
-            let plans = plans.expect("planned engine reports plans");
-            assert_eq!(plans.total(), 6 * 12, "workers={workers}");
-            assert!(plans.scan >= 12, "forced scan pass must be tallied");
-            assert!(plans.igrid >= 12, "forced igrid pass must be tallied");
-            client.quit().expect("quit");
-        });
+                // The tally travelled back through STATS: five served modes,
+                // 12 valid queries each (invalid slots never reach a backend).
+                let (_, _, plans) = client.stats_with_plans().expect("stats");
+                let plans = plans.expect("planned engine reports plans");
+                assert_eq!(plans.total(), 5 * 12, "workers={workers}");
+                assert!(plans.scan >= 12, "forced scan pass must be tallied");
+                assert!(plans.igrid >= 12, "forced igrid pass must be tallied");
+                client.quit().expect("quit");
+            },
+        );
     }
 }
 
 #[test]
 fn planless_engines_report_no_plans_over_the_wire() {
     let (_dir, csv, _db) = temp_files("noplan");
-    let engine = EngineConfig {
-        workers: 1,
-        backend: Backend::Memory,
-        planner: None,
-        ..EngineConfig::default()
-    }
-    .open(&csv)
-    .expect("open engine");
-    with_server(engine, |addr| {
+    let open = || {
+        EngineConfig {
+            workers: 1,
+            backend: Backend::Memory,
+            planner: None,
+            ..EngineConfig::default()
+        }
+        .open(&csv)
+        .expect("open engine")
+    };
+    on_every_backend(open, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         // The verb is accepted (connection-scoped option) even though the
         // engine ignores it, and STATS carries no plan counters.
@@ -238,32 +181,14 @@ fn disk_backend_bit_identical_over_the_wire() {
     );
 }
 
-/// Writes the shared 200 x 4 uniform dataset as both a CSV and a `.knm`
+/// The shared 200 x 4 uniform dataset as both a CSV and a `.knm`
 /// database under a per-test temp dir; the guard removes it on drop.
 fn temp_files(tag: &str) -> (TempDir, String, String) {
-    let dir = std::env::temp_dir().join(format!(
-        "knmatch-server-xcheck-{tag}-{}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let ds = uniform(200, 4, 0x5EED);
-    let csv = dir.join("data.csv");
-    knmatch_data::save_dataset(&csv, &ds).expect("write csv");
-    let db = dir.join("data.knm");
+    let (dir, csv) = temp_csv(tag);
+    let ds = knmatch_data::load_dataset(&csv).expect("read csv");
+    let db = dir.0.join("data.knm");
     DiskDatabase::create_file(&db, &ds, 64).expect("write db");
-    (
-        TempDir(dir.clone()),
-        csv.to_string_lossy().into_owned(),
-        db.to_string_lossy().into_owned(),
-    )
-}
-
-struct TempDir(std::path::PathBuf);
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+    (dir, csv, db.to_string_lossy().into_owned())
 }
 
 #[test]
@@ -275,64 +200,68 @@ fn deadline_and_fail_fast_travel_the_wire() {
         planner: None,
         ..EngineConfig::default()
     };
-    let engine = cfg.open(&csv).expect("open engine");
     let queries = workload(4);
-    let healthy = expected_wire(engine.run(&queries));
+    let healthy = expected_wire(cfg.open(&csv).expect("open engine").run(&queries));
 
-    with_server(engine, |addr| {
-        let mut client = Client::connect(addr).expect("connect");
-        // A generous deadline changes nothing: bit-identical answers.
-        client.set_deadline_ms(60_000).expect("deadline");
-        let reply = client.run_batch(&queries).expect("batch");
-        for (got, want) in reply.answers.iter().zip(&healthy) {
-            match (got, want) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b),
-                (Err(e), Err((kind, _))) => assert_eq!(e.kind, *kind),
-                other => panic!("slot shape diverged: {other:?}"),
+    on_every_backend(
+        || cfg.open(&csv).expect("open engine"),
+        |addr| {
+            let mut client = Client::connect(addr).expect("connect");
+            // A generous deadline changes nothing: bit-identical answers.
+            client.set_deadline_ms(60_000).expect("deadline");
+            let reply = client.run_batch(&queries).expect("batch");
+            for (got, want) in reply.answers.iter().zip(&healthy) {
+                match (got, want) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b),
+                    (Err(e), Err((kind, _))) => assert_eq!(e.kind, *kind),
+                    other => panic!("slot shape diverged: {other:?}"),
+                }
             }
-        }
-        // Clearing it (DEADLINE 0) keeps working.
-        client.set_deadline_ms(0).expect("clear deadline");
-        // Fail-fast toggles per connection; with every query valid the
-        // flag is invisible (bit-identical again).
-        client.set_fail_fast(true).expect("fail fast");
-        let valid: Vec<_> = queries[..6].to_vec();
-        let want = expected_wire(
-            EngineConfig {
-                workers: 2,
-                backend: Backend::Memory,
-                planner: None,
-                ..EngineConfig::default()
+            // Clearing it (DEADLINE 0) keeps working.
+            client.set_deadline_ms(0).expect("clear deadline");
+            // Fail-fast toggles per connection; with every query valid the
+            // flag is invisible (bit-identical again).
+            client.set_fail_fast(true).expect("fail fast");
+            let valid: Vec<_> = queries[..6].to_vec();
+            let want = expected_wire(
+                EngineConfig {
+                    workers: 2,
+                    backend: Backend::Memory,
+                    planner: None,
+                    ..EngineConfig::default()
+                }
+                .open(&csv)
+                .expect("open")
+                .run(&valid),
+            );
+            let reply = client.run_batch(&valid).expect("batch");
+            assert_eq!(reply.failed, 0);
+            for (got, want) in reply.answers.iter().zip(&want) {
+                match (got, want) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b),
+                    other => panic!("slot shape diverged: {other:?}"),
+                }
             }
-            .open(&csv)
-            .expect("open")
-            .run(&valid),
-        );
-        let reply = client.run_batch(&valid).expect("batch");
-        assert_eq!(reply.failed, 0);
-        for (got, want) in reply.answers.iter().zip(&want) {
-            match (got, want) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b),
-                other => panic!("slot shape diverged: {other:?}"),
-            }
-        }
-        client.quit().expect("quit");
-    });
+            client.quit().expect("quit");
+        },
+    );
 }
 
 #[test]
 fn stats_verb_reports_both_scopes() {
     let (_dir, csv, _db) = temp_files("stats");
-    let engine = EngineConfig {
-        workers: 1,
-        backend: Backend::Memory,
-        planner: None,
-        ..EngineConfig::default()
-    }
-    .open(&csv)
-    .expect("open engine");
+    let open = || {
+        EngineConfig {
+            workers: 1,
+            backend: Backend::Memory,
+            planner: None,
+            ..EngineConfig::default()
+        }
+        .open(&csv)
+        .expect("open engine")
+    };
 
-    with_server(engine, |addr| {
+    on_every_backend(open, |addr| {
         let mut a = Client::connect(addr).expect("connect a");
         let mut b = Client::connect(addr).expect("connect b");
         let q = BatchQuery::KnMatch {
@@ -351,50 +280,5 @@ fn stats_verb_reports_both_scopes() {
         assert!(server.bytes_in > 0 && server.bytes_out > 0);
         a.quit().expect("quit");
         b.quit().expect("quit");
-    });
-}
-
-#[test]
-fn connection_limit_rejects_with_busy() {
-    let (_dir, csv, _db) = temp_files("busy");
-    let engine = EngineConfig {
-        workers: 1,
-        backend: Backend::Memory,
-        planner: None,
-        ..EngineConfig::default()
-    }
-    .open(&csv)
-    .expect("open engine");
-    let server = Server::bind(
-        engine,
-        "127.0.0.1:0",
-        ServerConfig {
-            max_connections: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    thread::scope(|s| {
-        let serving = s.spawn(|| server.serve().expect("serve"));
-        let _guard = ShutdownGuard(handle);
-        let mut first = Client::connect(addr).expect("connect");
-        first.ping().expect("ping");
-        // The second connection is over the limit: it gets ERR busy and
-        // an immediate close.
-        let mut second = Client::connect(addr).expect("connect");
-        match second.recv_response().expect("busy line") {
-            knmatch_server::Response::Error { kind, .. } => {
-                assert_eq!(kind, ErrorKind::Busy)
-            }
-            other => panic!("expected ERR busy, got {other:?}"),
-        }
-        drop(second);
-        // The first connection is unaffected.
-        first.ping().expect("ping after reject");
-        first.quit().expect("quit");
-        drop(_guard);
-        serving.join().expect("server thread");
     });
 }

@@ -21,11 +21,10 @@
 #               suite in release (randomized interleaved writes vs a
 #               rebuild-from-scratch oracle; readers never block) +
 #               ingest_throughput --smoke
-#   7. server:  loopback serve/client smoke for both servers (ephemeral
-#               port, batch over the wire — binary+pipelined on the
-#               event loop, once per reactor backend — graceful
-#               shutdown), a serve --mutable + ingest round trip, and
-#               release-mode protocol fuzz
+#   7. server:  loopback serve/client smoke (ephemeral port, default
+#               flags, batch over the wire, graceful shutdown), a serve
+#               --mutable + ingest round trip, a binary+pipelined smoke
+#               once per reactor backend, and release-mode protocol fuzz
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -74,7 +73,7 @@ echo "==> versioned-index oracle crosscheck (release)"
 # rebuild-from-scratch oracle; release mode covers far more steps.
 cargo test --release -q -p knmatch-core --test versioned_crosscheck
 
-echo "==> mutable serve suite (release, both front-ends)"
+echo "==> mutable serve suite (release, both reactors)"
 cargo test --release -q -p knmatch-server --test mutable_serve
 
 echo "==> connection_scaling --smoke (256 connections)"
@@ -86,7 +85,7 @@ echo "==> fault_overhead --smoke"
 echo "==> ingest_throughput --smoke"
 ./target/release/ingest_throughput --smoke --out /tmp/BENCH_ingest_smoke.json >/dev/null
 
-echo "==> server smoke (serve + client over loopback)"
+echo "==> server smoke (serve + client over loopback, default flags)"
 SMOKE_DIR=$(mktemp -d)
 SERVE_PID=""
 cleanup() {
@@ -111,6 +110,9 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$ADDR" ] || { cat "$SMOKE_DIR/serve.log"; echo "server never reported its address"; exit 1; }
+# With no serving flags, `serve` is the event loop.
+grep -q "event loop" "$SMOKE_DIR/serve.log" \
+  || { cat "$SMOKE_DIR/serve.log"; echo "serve did not start the event loop"; exit 1; }
 "$KNM" client "$ADDR" --ping >/dev/null
 "$KNM" client "$ADDR" --queries "$SMOKE_DIR/queries.csv" -k 3 -n 2 --stats \
   | grep -q "4 ok / 0 failed" \
@@ -154,9 +156,9 @@ grep -q "shutdown complete" "$SMOKE_DIR/mutable.log" \
 REACTORS="poll"
 [ "$(uname)" = Linux ] && REACTORS="poll epoll"
 for REACTOR in $REACTORS; do
-  echo "==> event-loop smoke (serve --event-loop --reactor $REACTOR + binary pipelined client)"
+  echo "==> reactor smoke (serve --reactor $REACTOR + binary pipelined client)"
   "$KNM" serve "$SMOKE_DIR/data.knm" --addr 127.0.0.1:0 --workers 2 \
-    --event-loop --executors 2 --reactor "$REACTOR" >"$SMOKE_DIR/event.log" 2>&1 &
+    --executors 2 --reactor "$REACTOR" >"$SMOKE_DIR/event.log" 2>&1 &
   SERVE_PID=$!
   ADDR=""
   for _ in $(seq 1 100); do
